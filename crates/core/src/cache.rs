@@ -692,12 +692,25 @@ fn tie_broken_weight(graph: &Graph, e: EdgeId) -> u64 {
     (lat << 42) + (splitmix64(e.index() as u64 + 1) >> 32)
 }
 
-/// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// The SplitMix64 state increment (the golden-ratio "gamma").
+const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 finalizer — a cheap, well-mixed 64-bit hash, and the one
+/// copy of the generator's mixing in the workspace.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SPLITMIX64_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// One draw of a stateful SplitMix64 stream: the finalizer over a
+/// counter stepping by the golden-ratio increment (bit-identical to the
+/// classic `state += gamma; mix(state)` formulation).
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    out
 }
 
 /// Like [`build_scheme`], but serving the shareable precomputations

@@ -52,7 +52,9 @@ mod flow;
 mod mgraph;
 pub mod scheme;
 
-pub use cache::{build_scheme_cached, CachedGraphKind, GraphCache, GraphCacheStats};
+pub use cache::{
+    build_scheme_cached, splitmix64, splitmix64_next, CachedGraphKind, GraphCache, GraphCacheStats,
+};
 pub use detector::{ProblemDetector, ProblemStatus};
 pub use dgraph::DisseminationGraph;
 pub use error::CoreError;

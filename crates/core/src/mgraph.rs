@@ -252,6 +252,19 @@ impl MulticastGraph {
     }
 }
 
+impl From<&DisseminationGraph> for MulticastGraph {
+    /// The one-receiver multicast graph of a unicast route: the same
+    /// source and normalized edge set, with the destination as the only
+    /// receiver — the inverse of [`MulticastGraph::unicast_view`].
+    fn from(unicast: &DisseminationGraph) -> Self {
+        MulticastGraph {
+            source: unicast.source(),
+            receivers: vec![unicast.destination()],
+            edges: unicast.edges().to_vec(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +354,7 @@ mod tests {
         assert_eq!(view.source(), s);
         assert_eq!(view.destination(), rs[0]);
         assert!(mg.unicast_view(&g, s).is_err());
+        assert_eq!(MulticastGraph::from(&view), mg, "a unicast route is the one-receiver group");
     }
 
     #[test]

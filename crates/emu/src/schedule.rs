@@ -16,19 +16,10 @@
 //! ([`dg_overlay::chaos::ChaosSchedule::shifted`]) and shards them into
 //! per-node slices.
 
+use dg_core::splitmix64_next;
 use dg_overlay::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use dg_overlay::fault::LinkFault;
 use dg_topology::{Graph, NodeId};
-
-/// SplitMix64, kept local so schedule generation is seed-stable
-/// independent of overlay internals.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Shape of a [`kill_heal_schedule`] storm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,12 +57,12 @@ pub fn kill_heal_schedule(
     if relays.is_empty() {
         return ChaosSchedule { seed, events };
     }
-    let kill_victim = relays[(splitmix64(&mut rng) % relays.len() as u64) as usize];
+    let kill_victim = relays[(splitmix64_next(&mut rng) % relays.len() as u64) as usize];
     let partition_victim = if relays.len() > 1 {
         // Draw until the partition lands on a different relay: both
         // faults active at once is the storm's point.
         loop {
-            let candidate = relays[(splitmix64(&mut rng) % relays.len() as u64) as usize];
+            let candidate = relays[(splitmix64_next(&mut rng) % relays.len() as u64) as usize];
             if candidate != kill_victim {
                 break candidate;
             }
@@ -83,7 +74,7 @@ pub fn kill_heal_schedule(
     // The kill fires early in the window; the restart must leave the
     // daemon time to re-join, so its dwell is clamped to the window.
     let latest_kill = profile.window_ms.saturating_sub(profile.kill_dwell_ms).max(1);
-    let kill_at = splitmix64(&mut rng) % (latest_kill / 2).max(1);
+    let kill_at = splitmix64_next(&mut rng) % (latest_kill / 2).max(1);
     let restart_at = (kill_at + profile.kill_dwell_ms).min(profile.window_ms);
     events
         .push(ChaosEvent { at_ms: kill_at, action: ChaosAction::CrashNode { node: kill_victim } });
@@ -96,7 +87,7 @@ pub fn kill_heal_schedule(
     // both directions (the harness shards this into each neighbour's
     // slice), then heals inside the window.
     let latest_cut = profile.window_ms.saturating_sub(profile.partition_dwell_ms).max(1);
-    let cut_at = splitmix64(&mut rng) % latest_cut;
+    let cut_at = splitmix64_next(&mut rng) % latest_cut;
     let heal_at = (cut_at + profile.partition_dwell_ms).min(profile.window_ms);
     let blackhole = LinkFault { blackhole: true, ..LinkFault::default() };
     events.push(ChaosEvent {

@@ -8,9 +8,10 @@
 //! soak is reproducible: the same seed yields the same storm.
 
 use crate::cluster::Cluster;
-use crate::fault::{splitmix64, unit, BurstLoss, LinkFault};
+use crate::fault::{unit, BurstLoss, LinkFault};
 use crate::metrics::NodeThread;
 use crate::OverlayError;
+use dg_core::splitmix64_next;
 use dg_topology::{EdgeId, Graph, Micros, NodeId};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -155,10 +156,10 @@ impl ChaosSchedule {
         let active_ms = profile.duration_ms.saturating_sub(profile.settle_ms).max(1);
         let mut events = Vec::new();
         for _ in 0..profile.link_events {
-            let edge = EdgeId::new((splitmix64(&mut rng) % edge_count.max(1) as u64) as u32);
+            let edge = EdgeId::new((splitmix64_next(&mut rng) % edge_count.max(1) as u64) as u32);
             let fault = random_fault(&mut rng);
-            let start = splitmix64(&mut rng) % active_ms;
-            let dwell = 1 + splitmix64(&mut rng) % profile.max_dwell_ms.max(1);
+            let start = splitmix64_next(&mut rng) % active_ms;
+            let dwell = 1 + splitmix64_next(&mut rng) % profile.max_dwell_ms.max(1);
             let heal_at = (start + dwell).min(active_ms);
             events
                 .push(ChaosEvent { at_ms: start, action: ChaosAction::InjectEdge { edge, fault } });
@@ -168,9 +169,9 @@ impl ChaosSchedule {
             (0..node_count as u32).map(NodeId::new).filter(|n| !protected.contains(n)).collect();
         if !crashable.is_empty() {
             for _ in 0..profile.crashes {
-                let node = crashable[(splitmix64(&mut rng) % crashable.len() as u64) as usize];
-                let start = splitmix64(&mut rng) % active_ms;
-                let dwell = 1 + splitmix64(&mut rng) % profile.max_dwell_ms.max(1);
+                let node = crashable[(splitmix64_next(&mut rng) % crashable.len() as u64) as usize];
+                let start = splitmix64_next(&mut rng) % active_ms;
+                let dwell = 1 + splitmix64_next(&mut rng) % profile.max_dwell_ms.max(1);
                 let back_at = (start + dwell).min(active_ms);
                 events.push(ChaosEvent { at_ms: start, action: ChaosAction::CrashNode { node } });
                 events
@@ -178,12 +179,12 @@ impl ChaosSchedule {
             }
         }
         for _ in 0..profile.overload_events {
-            let node = NodeId::new((splitmix64(&mut rng) % node_count.max(1) as u64) as u32);
-            let start = splitmix64(&mut rng) % active_ms;
-            let dwell_ms = 1 + splitmix64(&mut rng) % profile.max_dwell_ms.max(1);
+            let node = NodeId::new((splitmix64_next(&mut rng) % node_count.max(1) as u64) as u32);
+            let start = splitmix64_next(&mut rng) % active_ms;
+            let dwell_ms = 1 + splitmix64_next(&mut rng) % profile.max_dwell_ms.max(1);
             // Enough pressure to blow well past any reasonable queue
             // bound, scaled by the seed for variety.
-            let shipments = 256 + (splitmix64(&mut rng) % 768) as usize;
+            let shipments = 256 + (splitmix64_next(&mut rng) % 768) as usize;
             events.push(ChaosEvent {
                 at_ms: start,
                 action: ChaosAction::Overload { node, shipments, dwell_ms },
@@ -322,8 +323,8 @@ impl ChaosSchedule {
 /// Draws one impairment, cycling through the model's failure modes so a
 /// generated storm exercises all of them.
 fn random_fault(rng: &mut u64) -> LinkFault {
-    let delay = Micros::from_millis(splitmix64(rng) % 8);
-    match splitmix64(rng) % 6 {
+    let delay = Micros::from_millis(splitmix64_next(rng) % 8);
+    match splitmix64_next(rng) % 6 {
         0 => LinkFault { loss: 0.05 + 0.35 * unit(rng), delay, ..LinkFault::default() },
         1 => LinkFault {
             burst: Some(BurstLoss {
@@ -336,7 +337,7 @@ fn random_fault(rng: &mut u64) -> LinkFault {
             ..LinkFault::default()
         },
         2 => LinkFault {
-            jitter: Micros::from_millis(1 + splitmix64(rng) % 5),
+            jitter: Micros::from_millis(1 + splitmix64_next(rng) % 5),
             reorder: 0.1 + 0.3 * unit(rng),
             delay,
             ..LinkFault::default()

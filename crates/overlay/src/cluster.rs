@@ -11,7 +11,7 @@ use crate::fault::LinkFault;
 use crate::metrics::{ClusterMetricsReport, NodeThread};
 use crate::node::{OverlayHandle, OverlayNode};
 use crate::runtime::Runtime;
-use crate::session::{FlowGroup, FlowReceiver, FlowSender};
+use crate::session::{FlowReceiver, FlowSender};
 use crate::wire::DigestEntry;
 use crate::OverlayError;
 use dg_core::scheme::{SchemeKind, SchemeParams};
@@ -326,7 +326,7 @@ impl Cluster {
         kind: MulticastKind,
         requirement: ServiceRequirement,
         class: SlaClass,
-    ) -> Result<(FlowGroup, Vec<(NodeId, FlowReceiver)>), OverlayError> {
+    ) -> Result<(FlowSender, Vec<(NodeId, FlowReceiver)>), OverlayError> {
         let group =
             self.node(source).open_group_sender(receivers, group_id, kind, requirement, class)?;
         let mut sessions = Vec::with_capacity(group.receivers().len());

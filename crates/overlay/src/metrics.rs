@@ -16,7 +16,7 @@
 use crate::clock::now_us;
 use crate::shard::ShardedMap;
 use dg_core::scheme::SchemeKind;
-use dg_core::{Flow, GraphCacheStats, SlaClass};
+use dg_core::{Flow, GraphCacheStats, MulticastKind, SlaClass};
 use dg_topology::{Micros, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -24,17 +24,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Declares the node counter block in two sections: `live` fields are
-/// backed by one atomic each and counted on the hot paths; `derived`
-/// fields have no atomic — they are computed from the live fields at
-/// snapshot time, but still appear in [`NodeCounters`] (and its serde
-/// form), so removing a counter's atomic does not break readers of
-/// serialized snapshots.
+/// Declares the node counter block: one atomic per field, counted on
+/// the hot paths, and a plain snapshot struct with the same fields.
 macro_rules! declare_counters {
-    (
-        live { $($(#[$doc:meta])* $field:ident),+ $(,)? }
-        derived { $($(#[$ddoc:meta])* $dfield:ident = $dexpr:expr),+ $(,)? }
-    ) => {
+    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
         /// The node-wide atomic counter block.
         #[derive(Debug, Default)]
         pub(crate) struct AtomicCounters {
@@ -43,12 +36,7 @@ macro_rules! declare_counters {
 
         impl AtomicCounters {
             pub(crate) fn snapshot(&self) -> NodeCounters {
-                let mut snap = NodeCounters {
-                    $($field: self.$field.load(Ordering::Relaxed),)+
-                    $($dfield: 0,)+
-                };
-                $(snap.$dfield = ($dexpr)(&snap);)+
-                snap
+                NodeCounters { $($field: self.$field.load(Ordering::Relaxed),)+ }
             }
         }
 
@@ -57,25 +45,20 @@ macro_rules! declare_counters {
         #[serde(default)]
         pub struct NodeCounters {
             $($(#[$doc])* pub $field: u64,)+
-            $($(#[$ddoc])* pub $dfield: u64,)+
         }
 
         impl NodeCounters {
             /// Field-wise sum; associative and commutative, so merging
             /// any number of snapshots in any order or grouping yields
-            /// the same totals. Derived fields merge field-wise too — a
-            /// sum of per-node derivations equals the derivation of the
-            /// summed live fields, because every derivation is linear.
+            /// the same totals.
             pub fn merge(&mut self, other: &NodeCounters) {
                 $(self.$field = self.$field.wrapping_add(other.$field);)+
-                $(self.$dfield = self.$dfield.wrapping_add(other.$dfield);)+
             }
         }
     };
 }
 
 declare_counters! {
-    live {
     /// UDP datagrams handed to the shipper (after fault filtering).
     datagrams_sent,
     /// UDP datagrams received on the socket.
@@ -171,15 +154,6 @@ declare_counters! {
     nack_rerequests,
     /// Supervised node threads restarted after a panic.
     thread_crashes,
-    }
-    derived {
-    /// Datagrams dropped because a bounded internal queue was full —
-    /// always exactly `shipper_drops + delivery_drops`. The 0.2.0
-    /// aggregate atomic was removed in 0.3.0; the field is derived at
-    /// snapshot time so serialized snapshots stay readable by older
-    /// consumers.
-    queue_drops = |c: &NodeCounters| c.shipper_drops.wrapping_add(c.delivery_drops),
-    }
 }
 
 /// Per-flow atomic cells; field names mirror `dg-sim`'s `FlowRunStats`.
@@ -263,6 +237,35 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// What produced a sender's route: one of the paper's unicast schemes
+/// or a multicast construction. Serializes as the bare inner kind (the
+/// two vocabularies share no names), so a unicast route reads exactly
+/// as a plain [`SchemeKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteKind {
+    /// A unicast flow routed by one of the paper's schemes.
+    Scheme(SchemeKind),
+    /// A multicast group routed over an interned group graph.
+    Multicast(MulticastKind),
+}
+
+impl Serialize for RouteKind {
+    fn to_value(&self) -> serde::Value {
+        match self {
+            RouteKind::Scheme(kind) => kind.to_value(),
+            RouteKind::Multicast(kind) => kind.to_value(),
+        }
+    }
+}
+
+impl Deserialize for RouteKind {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
+        SchemeKind::from_value(value)
+            .map(RouteKind::Scheme)
+            .or_else(|_| MulticastKind::from_value(value).map(RouteKind::Multicast))
+    }
+}
+
 /// The event vocabulary of the journal.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
@@ -270,8 +273,8 @@ pub enum EventKind {
     RouteChange {
         /// The flow whose routing changed.
         flow: Flow,
-        /// The scheme that made the change.
-        scheme: SchemeKind,
+        /// The scheme or multicast construction that made the change.
+        scheme: RouteKind,
         /// Edge count of the new graph.
         edges: u64,
     },
@@ -354,8 +357,9 @@ pub enum EventKind {
         level: u8,
     },
     /// An overloaded node replaced one sender session's dissemination
-    /// graph with a cheaper one (surgical keeps its targeted graph,
-    /// timely falls to two disjoint paths, bulk to a single path).
+    /// graph with a cheaper one (surgical keeps its targeted graph;
+    /// unicast timely falls to two disjoint paths and bulk to a single
+    /// path; a group falls to its shortest-path tree).
     ClassDowngraded {
         /// The flow whose redundancy was reduced.
         flow: Flow,
@@ -730,8 +734,13 @@ mod tests {
         let registry = MetricsRegistry::new(4);
         registry.record(EventKind::RouteChange {
             flow: flow(1, 2),
-            scheme: SchemeKind::TargetedRedundancy,
+            scheme: RouteKind::Scheme(SchemeKind::TargetedRedundancy),
             edges: 7,
+        });
+        registry.record(EventKind::RouteChange {
+            flow: Flow::group(NodeId::new(1), 9),
+            scheme: RouteKind::Multicast(MulticastKind::Targeted),
+            edges: 11,
         });
         registry.record(EventKind::DetectorTriggered { neighbor: NodeId::new(3), loss: 0.25 });
         registry.flow(flow(1, 2)).transmissions.fetch_add(4, Ordering::Relaxed);
@@ -739,5 +748,8 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("serializes");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(snap, back);
+        // A unicast route change reads exactly as a bare scheme kind.
+        let unicast = serde_json::to_string(&snap.events[0].kind).expect("serializes");
+        assert!(unicast.contains(r#""scheme":"TargetedRedundancy""#), "{unicast}");
     }
 }

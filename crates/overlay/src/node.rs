@@ -10,7 +10,7 @@ use crate::overload::{OverloadConfig, OverloadDetector, OverloadTransition};
 use crate::pool::{BufferPool, ScratchVecPool};
 use crate::recovery::{retransmit_worthwhile, GapTracker, SendBuffer};
 use crate::runtime::{Runtime, SpawnMode};
-use crate::session::{Delivery, FlowGroup, FlowReceiver, FlowSender, GroupSlot, SchemeSlot};
+use crate::session::{Delivery, FlowReceiver, FlowSender, Route, SenderSlot};
 use crate::shard::ShardedMap;
 use crate::wire::{
     self, DataPacket, DigestEntry, Envelope, LinkStateEntry, LinkStateUpdate, Message,
@@ -20,7 +20,8 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use dg_core::scheme::{build_scheme, RoutingScheme, SchemeKind, SchemeParams};
 use dg_core::{
-    CachedGraphKind, Flow, GraphCache, GraphCacheStats, MulticastKind, ServiceRequirement, SlaClass,
+    CachedGraphKind, Flow, GraphCache, GraphCacheStats, MulticastGraph, MulticastKind,
+    ServiceRequirement, SlaClass,
 };
 use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::NetworkState;
@@ -194,10 +195,10 @@ pub(crate) struct Shared {
     /// Sharded so concurrent deliveries for unrelated flows don't
     /// serialize on one lock.
     receivers: ShardedMap<Flow, Sender<Delivery>>,
-    pub(crate) senders: Mutex<Vec<Arc<Mutex<SchemeSlot>>>>,
-    /// Multicast group sessions originated here, refreshed alongside
-    /// the unicast sender slots on every scheme-update tick.
-    pub(crate) groups: Mutex<Vec<Arc<Mutex<GroupSlot>>>>,
+    /// Sender sessions (unicast and group) originated here, refreshed
+    /// on every scheme-update tick; a session removes its own slot when
+    /// dropped.
+    pub(crate) senders: Mutex<Vec<Arc<Mutex<SenderSlot>>>>,
     /// Reusable encode buffers for the transmit path.
     frame_pool: Mutex<BufferPool>,
     /// Reusable packet scratch for the batch send path.
@@ -370,9 +371,7 @@ impl Shared {
     }
 
     /// Records `count` shed data packets of `class`: the per-class shed
-    /// counter plus the shipper-side drop cause. (The snapshot-level
-    /// `queue_drops` aggregate is derived from the per-cause counters
-    /// at read time; nothing counts into it here.)
+    /// counter plus the shipper-side drop cause.
     fn shed(&self, class: SlaClass, count: u64) {
         let cell = match class {
             SlaClass::Bulk => &self.metrics.counters.shed_bulk,
@@ -1012,52 +1011,15 @@ impl Shared {
         let slots: Vec<_> = self.senders.lock().clone();
         for slot in slots {
             let mut slot = slot.lock();
-            if slot.scheme.update(&self.graph, &state) {
-                slot.refresh_mask(self.graph.edge_count());
+            if let Some(edges) = slot.refresh(&self.graph, &state, &self.graph_cache) {
+                let flow = slot.flow;
                 self.metrics.counters.graph_changes.fetch_add(1, Ordering::Relaxed);
-                let flow = slot.scheme.flow();
                 self.metrics.flow(flow).graph_changes.fetch_add(1, Ordering::Relaxed);
                 self.metrics.record(EventKind::RouteChange {
                     flow,
-                    scheme: slot.scheme.kind(),
-                    edges: slot.scheme.current().len() as u64,
+                    scheme: slot.route_kind(),
+                    edges: edges as u64,
                 });
-            }
-            // Keep a usable disjoint-pair fallback warm for the flow.
-            // Hits are free; a recompute only happens after a report
-            // flipped one of the routes' links across the usability
-            // threshold (the pair itself is deadline-independent).
-            let _ = self.graph_cache.live(
-                slot.scheme.flow(),
-                CachedGraphKind::TwoDisjoint,
-                ServiceRequirement::default(),
-            );
-        }
-        // Group slots ride the same tick: a lookup against the
-        // interned multicast tier is free while the cached graph is
-        // valid, and recomputes exactly when a link-state report
-        // flipped an edge the graph depends on.
-        let groups: Vec<_> = self.groups.lock().clone();
-        for slot in groups {
-            let mut slot = slot.lock();
-            let fresh = self.graph_cache.multicast(
-                slot.flow.source,
-                slot.graph.receivers(),
-                slot.kind,
-                slot.requirement,
-            );
-            if let Ok(graph) = fresh {
-                if !Arc::ptr_eq(&graph, &slot.graph) {
-                    // A recompute can land on the same edge set (the
-                    // flip was on a redundant branch's alternative);
-                    // only a real edge-set change counts as a reroute.
-                    let changed = *graph != *slot.graph;
-                    slot.refresh(graph, self.graph.edge_count());
-                    if changed {
-                        self.metrics.counters.graph_changes.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.flow(slot.flow).graph_changes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
             }
         }
         // An ongoing overload episode keeps its downgrade masks in step
@@ -1094,11 +1056,11 @@ impl Shared {
 
     /// (Re)applies the downgrade policy for overload `level` to every
     /// sender slot: surgical keeps its full graph at every level,
-    /// timely falls back to its precomputed disjoint pair at level 2,
-    /// and bulk drops to a single path from level 1. `ClassDowngraded`
-    /// is journaled only when a slot's effective level changes; a mask
-    /// recomputed at an unchanged level (link state moved mid-episode)
-    /// is silent.
+    /// timely falls back at level 2, and bulk from level 1 (see
+    /// [`Shared::downgrade_target`] for the graphs they fall to).
+    /// `ClassDowngraded` is journaled only when a slot's effective level
+    /// changes; a graph recomputed at an unchanged level (link state
+    /// moved mid-episode) is silent.
     fn apply_overload(&self, level: u8) {
         let slots: Vec<_> = self.senders.lock().clone();
         if slots.is_empty() {
@@ -1125,35 +1087,43 @@ impl Shared {
                 }
                 continue;
             }
-            let graph = match class {
-                SlaClass::Timely => self
-                    .graph_cache
-                    .live(flow, CachedGraphKind::TwoDisjoint, ServiceRequirement::default())
-                    .ok()
-                    .map(|g| (*g).clone()),
-                SlaClass::Bulk => self.single_path_graph(flow, &state),
-                SlaClass::Surgical => None,
-            };
             // A flow whose cheaper graph cannot be computed right now
             // (e.g. the topology is partitioned) keeps whatever it has.
-            let Some(graph) = graph else { continue };
+            let Some(graph) = self.downgrade_target(&slot, &state) else { continue };
             let edges = graph.len() as u64;
-            let mask = Bytes::from(graph.to_bitmask(self.graph.edge_count()));
             let changed = slot.downgrade_level != effective;
-            slot.set_downgrade(mask, effective);
+            slot.set_downgrade(graph, effective, self.graph.edge_count());
             if changed {
                 self.metrics.record(EventKind::ClassDowngraded { flow, class, edges });
             }
         }
     }
 
+    /// The cheaper graph a downgraded sender falls to: a unicast timely
+    /// flow's precomputed disjoint pair, a unicast bulk flow's single
+    /// loss-aware path, and for a group the interned
+    /// [`MulticastKind::Tree`] over the same receivers — the cheapest
+    /// graph that still reaches every one of them.
+    fn downgrade_target(&self, slot: &SenderSlot, state: &NetworkState) -> Option<MulticastGraph> {
+        match &slot.route {
+            Route::Unicast(_) if slot.class == SlaClass::Timely => self
+                .graph_cache
+                .live(slot.flow, CachedGraphKind::TwoDisjoint, ServiceRequirement::default())
+                .ok()
+                .map(|pair| MulticastGraph::from(&*pair)),
+            Route::Unicast(_) => self.single_path_graph(slot.flow, state),
+            Route::Group { graph, requirement, .. } => self
+                .graph_cache
+                .multicast(slot.flow.source, graph.receivers(), MulticastKind::Tree, *requirement)
+                .ok()
+                .map(|tree| (*tree).clone()),
+        }
+    }
+
     /// The cheapest dissemination graph for `flow` under the current
-    /// network state: one loss-aware path (the bulk downgrade target).
-    fn single_path_graph(
-        &self,
-        flow: Flow,
-        state: &NetworkState,
-    ) -> Option<dg_core::DisseminationGraph> {
+    /// network state: one loss-aware path (the unicast bulk downgrade
+    /// target).
+    fn single_path_graph(&self, flow: Flow, state: &NetworkState) -> Option<MulticastGraph> {
         let mut scheme = build_scheme(
             SchemeKind::DynamicSinglePath,
             &self.graph,
@@ -1163,7 +1133,7 @@ impl Shared {
         )
         .ok()?;
         let _ = scheme.update(&self.graph, state);
-        Some(scheme.current().clone())
+        Some(MulticastGraph::from(scheme.current()))
     }
 
     /// Floods the outbound data queue with synthetic bulk-class
@@ -1472,7 +1442,6 @@ fn build_shared(
         recv_links: Mutex::new(HashMap::new()),
         receivers: ShardedMap::new(),
         senders: Mutex::new(Vec::new()),
-        groups: Mutex::new(Vec::new()),
         frame_pool: Mutex::new(BufferPool::default()),
         packet_scratch: Mutex::new(ScratchVecPool::default()),
         seq_scratch: Mutex::new(ScratchVecPool::default()),
@@ -1575,26 +1544,33 @@ impl OverlayHandle {
         requirement: ServiceRequirement,
         class: SlaClass,
     ) -> Result<FlowSender, OverlayError> {
-        if scheme.flow().source != self.node_id() {
-            return Err(OverlayError::UnknownNode(scheme.flow().source));
-        }
         let flow = scheme.flow();
+        if flow.source != self.node_id() {
+            return Err(OverlayError::UnknownNode(flow.source));
+        }
+        self.admit(Route::Unicast(scheme), flow, class, requirement.deadline)
+    }
+
+    /// Admission control for every sender type: refuse work beyond the
+    /// configured capacity instead of absorbing it and failing every
+    /// class. Sessions free their slot when dropped.
+    fn admit(
+        &self,
+        route: Route,
+        flow: Flow,
+        class: SlaClass,
+        deadline: Micros,
+    ) -> Result<FlowSender, OverlayError> {
         let mut senders = self.shared.senders.lock();
-        // Admission control: refuse work beyond the configured
-        // capacity instead of absorbing it and failing every class.
         let capacity = self.shared.config.sender_capacity;
         if senders.len() >= capacity {
             return Err(OverlayError::AdmissionDenied { active: senders.len(), capacity });
         }
-        let slot = Arc::new(Mutex::new(SchemeSlot::new(
-            scheme,
-            flow,
-            class,
-            self.shared.graph.edge_count(),
-        )));
+        let slot = SenderSlot::new(route, flow, class, self.shared.graph.edge_count());
+        let slot = Arc::new(Mutex::new(slot));
         senders.push(Arc::clone(&slot));
         drop(senders);
-        Ok(FlowSender::new(Arc::clone(&self.shared), slot, flow, requirement.deadline, class))
+        Ok(FlowSender::new(Arc::clone(&self.shared), slot, deadline))
     }
 
     /// Opens a multicast sending session from this node to `receivers`:
@@ -1620,26 +1596,11 @@ impl OverlayHandle {
         kind: MulticastKind,
         requirement: ServiceRequirement,
         class: SlaClass,
-    ) -> Result<FlowGroup, OverlayError> {
+    ) -> Result<FlowSender, OverlayError> {
         let flow = Flow::group(self.node_id(), group_id);
         let graph =
             self.shared.graph_cache.multicast(self.node_id(), receivers, kind, requirement)?;
-        let mut groups = self.shared.groups.lock();
-        let capacity = self.shared.config.sender_capacity;
-        let active = self.shared.senders.lock().len() + groups.len();
-        if active >= capacity {
-            return Err(OverlayError::AdmissionDenied { active, capacity });
-        }
-        let slot = Arc::new(Mutex::new(GroupSlot::new(
-            graph,
-            flow,
-            kind,
-            requirement,
-            self.shared.graph.edge_count(),
-        )));
-        groups.push(Arc::clone(&slot));
-        drop(groups);
-        Ok(FlowGroup::new(Arc::clone(&self.shared), slot, flow, requirement.deadline, class))
+        self.admit(Route::Group { graph, kind, requirement }, flow, class, requirement.deadline)
     }
 
     /// Opens a receiving session for the multicast group flow

@@ -1,6 +1,7 @@
 //! Application-facing sending and receiving sessions.
 
 use crate::clock::now_us;
+use crate::metrics::RouteKind;
 use crate::node::Shared;
 use crate::wire::{DataPacket, MAX_PAYLOAD};
 use crate::OverlayError;
@@ -8,9 +9,10 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use dg_core::scheme::RoutingScheme;
 use dg_core::{
-    DisseminationGraph, Flow, MulticastGraph, MulticastKind, ServiceRequirement, SlaClass,
+    CachedGraphKind, Flow, GraphCache, MulticastGraph, MulticastKind, ServiceRequirement, SlaClass,
 };
-use dg_topology::{Micros, NodeId};
+use dg_topology::{Graph, Micros, NodeId};
+use dg_trace::NetworkState;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,45 +92,115 @@ impl DeliveryStats {
     }
 }
 
-/// The per-sender routing state: the live scheme plus its current
-/// dissemination graph pre-encoded as a wire bitmask, and — under
-/// overload — a cheaper override mask that temporarily replaces it.
-pub(crate) struct SchemeSlot {
-    pub(crate) scheme: Box<dyn RoutingScheme>,
+/// What produces a sender's dissemination graph.
+pub(crate) enum Route {
+    /// One of the paper's unicast schemes, which owns its current graph.
+    Unicast(Box<dyn RoutingScheme>),
+    /// An interned multicast graph, looked up again in the node's graph
+    /// cache on every refresh.
+    Group { graph: Arc<MulticastGraph>, kind: MulticastKind, requirement: ServiceRequirement },
+}
+
+impl Route {
+    /// The route's current graph; a unicast route is the one-receiver
+    /// group.
+    fn graph(&self) -> MulticastGraph {
+        match self {
+            Route::Unicast(scheme) => MulticastGraph::from(scheme.current()),
+            Route::Group { graph, .. } => (**graph).clone(),
+        }
+    }
+}
+
+/// The per-sender routing state, for unicast and group flows alike: the
+/// route, its current graph pre-encoded as a wire bitmask, and — under
+/// overload — a cheaper override graph that temporarily replaces it.
+pub(crate) struct SenderSlot {
+    pub(crate) route: Route,
     pub(crate) flow: Flow,
     pub(crate) class: SlaClass,
     mask: Bytes,
-    /// Downgraded dissemination mask applied while the node is
-    /// overloaded; `None` means the scheme's full graph is in force.
-    downgrade: Option<Bytes>,
+    /// Downgraded graph (and its mask) applied while the node is
+    /// overloaded; `None` means the route's full graph is in force.
+    downgrade: Option<(MulticastGraph, Bytes)>,
     /// The overload level the current downgrade was computed at (0
     /// when no downgrade is active), so re-applying the same level is
     /// a no-op.
     pub(crate) downgrade_level: u8,
 }
 
-impl SchemeSlot {
-    pub(crate) fn new(
-        scheme: Box<dyn RoutingScheme>,
-        flow: Flow,
-        class: SlaClass,
-        edge_count: usize,
-    ) -> Self {
-        let mask = Bytes::from(scheme.current().to_bitmask(edge_count));
-        SchemeSlot { scheme, flow, class, mask, downgrade: None, downgrade_level: 0 }
+impl SenderSlot {
+    pub(crate) fn new(route: Route, flow: Flow, class: SlaClass, edge_count: usize) -> Self {
+        let mask = Bytes::from(route.graph().to_bitmask(edge_count));
+        SenderSlot { route, flow, class, mask, downgrade: None, downgrade_level: 0 }
     }
 
-    pub(crate) fn refresh_mask(&mut self, edge_count: usize) {
-        self.mask = Bytes::from(self.scheme.current().to_bitmask(edge_count));
+    /// Recomputes the route for the current network state and re-stamps
+    /// the mask. Returns the new graph's edge count when its edge set
+    /// changed, `None` otherwise.
+    pub(crate) fn refresh(
+        &mut self,
+        topology: &Graph,
+        state: &NetworkState,
+        cache: &GraphCache,
+    ) -> Option<usize> {
+        let changed = match &mut self.route {
+            Route::Unicast(scheme) => {
+                let changed = scheme.update(topology, state);
+                // Keep a usable disjoint-pair fallback warm for the
+                // flow. Hits are free; a recompute only happens after a
+                // report flipped one of the routes' links across the
+                // usability threshold (the pair itself is
+                // deadline-independent).
+                let _ = cache.live(
+                    self.flow,
+                    CachedGraphKind::TwoDisjoint,
+                    ServiceRequirement::default(),
+                );
+                changed
+            }
+            // A lookup against the interned multicast tier is free while
+            // the cached graph is valid, and recomputes exactly when a
+            // link-state report flipped an edge the graph depends on.
+            Route::Group { graph, kind, requirement } => {
+                match cache.multicast(self.flow.source, graph.receivers(), *kind, *requirement) {
+                    Ok(fresh) if !Arc::ptr_eq(&fresh, graph) => {
+                        // A recompute can land on the same edge set (the
+                        // flip was on a redundant branch's alternative);
+                        // only a real edge-set change counts as a reroute.
+                        let changed = *fresh != **graph;
+                        *graph = fresh;
+                        changed
+                    }
+                    _ => false,
+                }
+            }
+        };
+        if !changed {
+            return None;
+        }
+        let graph = self.route.graph();
+        self.mask = Bytes::from(graph.to_bitmask(topology.edge_count()));
+        Some(graph.len())
     }
 
-    /// Replaces the stamped mask with a downgraded graph (overload).
-    pub(crate) fn set_downgrade(&mut self, mask: Bytes, level: u8) {
-        self.downgrade = Some(mask);
+    /// What produced the route, as journaled in
+    /// [`crate::metrics::EventKind::RouteChange`].
+    pub(crate) fn route_kind(&self) -> RouteKind {
+        match &self.route {
+            Route::Unicast(scheme) => RouteKind::Scheme(scheme.kind()),
+            Route::Group { kind, .. } => RouteKind::Multicast(*kind),
+        }
+    }
+
+    /// Replaces the stamped graph with a cheaper one (overload).
+    pub(crate) fn set_downgrade(&mut self, graph: MulticastGraph, level: u8, edge_count: usize) {
+        let mask = Bytes::from(graph.to_bitmask(edge_count));
+        self.downgrade = Some((graph, mask));
         self.downgrade_level = level;
     }
 
-    /// Restores the scheme's full graph.
+    /// Restores the route's full graph.
     pub(crate) fn clear_downgrade(&mut self) {
         self.downgrade = None;
         self.downgrade_level = 0;
@@ -140,16 +212,24 @@ impl SchemeSlot {
 
     fn mask(&self) -> Bytes {
         match &self.downgrade {
-            Some(mask) => mask.clone(),
+            Some((_, mask)) => mask.clone(),
             None => self.mask.clone(),
+        }
+    }
+
+    fn stamped_graph(&self) -> MulticastGraph {
+        match &self.downgrade {
+            Some((graph, _)) => graph.clone(),
+            None => self.route.graph(),
         }
     }
 }
 
-impl std::fmt::Debug for SchemeSlot {
+impl std::fmt::Debug for SenderSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemeSlot")
-            .field("scheme", &self.scheme.kind())
+        f.debug_struct("SenderSlot")
+            .field("flow", &self.flow)
+            .field("route", &self.route_kind())
             .field("class", &self.class)
             .field("downgraded", &self.downgrade.is_some())
             .finish()
@@ -158,9 +238,15 @@ impl std::fmt::Debug for SchemeSlot {
 
 /// A sending session: stamps packets with the flow's current
 /// dissemination graph and injects them at the source node.
+///
+/// The same type serves unicast flows (routed by one of the paper's
+/// schemes) and multicast groups (one encode + dissemination per packet
+/// covers every receiver, over a single-source graph interned in the
+/// node's graph cache — see `docs/MULTICAST.md`); a unicast flow is the
+/// one-receiver group. Dropping the session frees its admission slot.
 pub struct FlowSender {
     shared: Arc<Shared>,
-    slot: Arc<Mutex<SchemeSlot>>,
+    slot: Arc<Mutex<SenderSlot>>,
     flow: Flow,
     deadline: Micros,
     class: SlaClass,
@@ -169,6 +255,10 @@ pub struct FlowSender {
     /// skips the registry lookup.
     cells: Arc<crate::metrics::FlowCells>,
 }
+
+/// A multicast sending session — since 0.4.0 the same type as a
+/// unicast [`FlowSender`].
+pub type FlowGroup = FlowSender;
 
 impl std::fmt::Debug for FlowSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -180,19 +270,25 @@ impl std::fmt::Debug for FlowSender {
     }
 }
 
+fn check_payload(len: usize) -> Result<(), OverlayError> {
+    if len > MAX_PAYLOAD {
+        return Err(OverlayError::PayloadTooLarge { got: len, max: MAX_PAYLOAD });
+    }
+    Ok(())
+}
+
 impl FlowSender {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        slot: Arc<Mutex<SchemeSlot>>,
-        flow: Flow,
-        deadline: Micros,
-        class: SlaClass,
-    ) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, slot: Arc<Mutex<SenderSlot>>, deadline: Micros) -> Self {
+        let (flow, class) = {
+            let slot = slot.lock();
+            (slot.flow, slot.class)
+        };
         let cells = shared.metrics.flow(flow);
         FlowSender { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
     }
 
-    /// The flow this session sends on.
+    /// The flow this session sends on (for a group, a tagged group id
+    /// in the destination field; see [`Flow::group`]).
     pub fn flow(&self) -> Flow {
         self.flow
     }
@@ -208,30 +304,41 @@ impl FlowSender {
         self.slot.lock().is_downgraded()
     }
 
-    /// Sends one application packet; returns its flow sequence number.
+    /// The canonical receiver set: the destination of a unicast flow,
+    /// the sorted members of a group.
+    pub fn receivers(&self) -> Vec<NodeId> {
+        match &self.slot.lock().route {
+            Route::Unicast(_) => vec![self.flow.destination],
+            Route::Group { graph, .. } => graph.receivers().to_vec(),
+        }
+    }
+
+    fn packet(&self, flow_seq: u64, sent_at: Micros, mask: Bytes, payload: &[u8]) -> DataPacket {
+        DataPacket {
+            flow: self.flow,
+            flow_seq,
+            sent_at,
+            deadline: self.deadline,
+            link_seq: 0, // assigned per link at transmission
+            retransmission: false,
+            class: self.class,
+            mask,
+            payload: Bytes::copy_from_slice(payload),
+        }
+    }
+
+    /// Sends one application packet to every receiver; returns its flow
+    /// sequence number.
     ///
     /// # Errors
     ///
     /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
     /// [`MAX_PAYLOAD`] bytes.
     pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
+        check_payload(payload.len())?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.cells.packets_sent.fetch_add(1, Ordering::Relaxed);
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: seq,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate(&packet);
+        self.shared.disseminate(&self.packet(seq, now_us(), self.slot.lock().mask(), payload));
         Ok(seq)
     }
 
@@ -259,25 +366,12 @@ impl FlowSender {
     /// matching [`FlowSender::send`] for the probe to be a faithful
     /// re-offer).
     pub fn tail_probe(&self, payload: &[u8]) -> Result<bool, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
+        check_payload(payload.len())?;
         let next = self.next_seq.load(Ordering::Relaxed);
         if next == 0 {
             return Ok(false);
         }
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: next - 1,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate(&packet);
+        self.shared.disseminate(&self.packet(next - 1, now_us(), self.slot.lock().mask(), payload));
         Ok(true)
     }
 
@@ -288,7 +382,8 @@ impl FlowSender {
     /// sequence number of the run.
     ///
     /// This is the high-throughput path: one syscall, checksum, and
-    /// fault verdict covers many packets instead of one each.
+    /// fault verdict covers many packets instead of one each — and for
+    /// a group, one dissemination covers every receiver.
     ///
     /// # Errors
     ///
@@ -296,9 +391,7 @@ impl FlowSender {
     /// [`MAX_PAYLOAD`]; nothing is sent in that case.
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
         for p in payloads {
-            if p.len() > MAX_PAYLOAD {
-                return Err(OverlayError::PayloadTooLarge { got: p.len(), max: MAX_PAYLOAD });
-            }
+            check_payload(p.len())?;
         }
         let n = payloads.len() as u64;
         let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
@@ -311,201 +404,30 @@ impl FlowSender {
         // Pooled scratch: the batch path otherwise allocates (and
         // frees) one `Vec<DataPacket>` per call.
         let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().enumerate().map(|(i, p)| DataPacket {
-            flow: self.flow,
-            flow_seq: first + i as u64,
-            sent_at,
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: mask.clone(),
-            payload: Bytes::copy_from_slice(p),
-        }));
+        packets.extend(
+            payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| self.packet(first + i as u64, sent_at, mask.clone(), p)),
+        );
         self.shared.disseminate_batch(&packets);
         self.shared.put_packet_scratch(packets);
         Ok(first)
     }
 
-    /// The dissemination graph currently stamped onto packets.
-    pub fn current_graph(&self) -> DisseminationGraph {
-        self.slot.lock().scheme.current().clone()
+    /// The dissemination graph currently stamped onto packets — the
+    /// overload downgrade while one is active. A unicast route is
+    /// returned as its one-receiver multicast graph.
+    pub fn current_graph(&self) -> MulticastGraph {
+        self.slot.lock().stamped_graph()
     }
 }
 
-/// The per-group routing state: the interned multicast graph plus its
-/// current wire bitmask. Refreshed by the node's scheme-update tick
-/// when link-state flips evict the cached graph.
-pub(crate) struct GroupSlot {
-    pub(crate) graph: Arc<MulticastGraph>,
-    pub(crate) flow: Flow,
-    pub(crate) kind: MulticastKind,
-    pub(crate) requirement: ServiceRequirement,
-    mask: Bytes,
-}
-
-impl GroupSlot {
-    pub(crate) fn new(
-        graph: Arc<MulticastGraph>,
-        flow: Flow,
-        kind: MulticastKind,
-        requirement: ServiceRequirement,
-        edge_count: usize,
-    ) -> Self {
-        let mask = Bytes::from(graph.to_bitmask(edge_count));
-        GroupSlot { graph, flow, kind, requirement, mask }
-    }
-
-    /// Installs a fresh graph and re-stamps the wire mask.
-    pub(crate) fn refresh(&mut self, graph: Arc<MulticastGraph>, edge_count: usize) {
-        self.mask = Bytes::from(graph.to_bitmask(edge_count));
-        self.graph = graph;
-    }
-
-    fn mask(&self) -> Bytes {
-        self.mask.clone()
-    }
-}
-
-impl std::fmt::Debug for GroupSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupSlot")
-            .field("flow", &self.flow)
-            .field("kind", &self.kind)
-            .field("receivers", &self.graph.receivers().len())
-            .finish()
-    }
-}
-
-/// A multicast sending session: one encode + dissemination per packet
-/// covers every receiver of the group, instead of N unicast sends.
-///
-/// The group's dissemination graph is a single-source tree (or, for
-/// [`MulticastKind::Targeted`]/[`MulticastKind::Robust`], a DAG with
-/// redundancy branches grafted at receivers) interned in the node's
-/// graph cache, so thousands of groups over the same topology share
-/// one precomputed graph per distinct `(source, receiver set, kind,
-/// deadline)`. See `docs/MULTICAST.md`.
-pub struct FlowGroup {
-    shared: Arc<Shared>,
-    slot: Arc<Mutex<GroupSlot>>,
-    flow: Flow,
-    deadline: Micros,
-    class: SlaClass,
-    next_seq: AtomicU64,
-    cells: Arc<crate::metrics::FlowCells>,
-}
-
-impl std::fmt::Debug for FlowGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlowGroup")
-            .field("flow", &self.flow)
-            .field("deadline", &self.deadline)
-            .field("class", &self.class)
-            .finish()
-    }
-}
-
-impl FlowGroup {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        slot: Arc<Mutex<GroupSlot>>,
-        flow: Flow,
-        deadline: Micros,
-        class: SlaClass,
-    ) -> Self {
-        let cells = shared.metrics.flow(flow);
-        FlowGroup { shared, slot, flow, deadline, class, next_seq: AtomicU64::new(0), cells }
-    }
-
-    /// The group flow this session sends on (a tagged group id in the
-    /// destination field; see [`Flow::group`]).
-    pub fn flow(&self) -> Flow {
-        self.flow
-    }
-
-    /// The SLA class stamped onto this session's packets.
-    pub fn class(&self) -> SlaClass {
-        self.class
-    }
-
-    /// The canonical receiver set of the group.
-    pub fn receivers(&self) -> Vec<NodeId> {
-        self.slot.lock().graph.receivers().to_vec()
-    }
-
-    /// Sends one application packet to every receiver of the group;
-    /// returns its flow sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::PayloadTooLarge`] for payloads over
-    /// [`MAX_PAYLOAD`] bytes.
-    pub fn send(&self, payload: &[u8]) -> Result<u64, OverlayError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(OverlayError::PayloadTooLarge { got: payload.len(), max: MAX_PAYLOAD });
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.cells.packets_sent.fetch_add(1, Ordering::Relaxed);
-        let packet = DataPacket {
-            flow: self.flow,
-            flow_seq: seq,
-            sent_at: now_us(),
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: self.slot.lock().mask(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        self.shared.disseminate(&packet);
-        Ok(seq)
-    }
-
-    /// Sends a run of packets to every receiver as one batch — the
-    /// many-flow fast path: consecutive sequence numbers, one shared
-    /// timestamp and mask, coalesced wire datagrams per out-link, and
-    /// one dissemination covering all receivers. Returns the first
-    /// sequence number of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::PayloadTooLarge`] if any payload exceeds
-    /// [`MAX_PAYLOAD`]; nothing is sent in that case.
-    pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<u64, OverlayError> {
-        for p in payloads {
-            if p.len() > MAX_PAYLOAD {
-                return Err(OverlayError::PayloadTooLarge { got: p.len(), max: MAX_PAYLOAD });
-            }
-        }
-        let n = payloads.len() as u64;
-        let first = self.next_seq.fetch_add(n, Ordering::Relaxed);
-        if n == 0 {
-            return Ok(first);
-        }
-        self.cells.packets_sent.fetch_add(n, Ordering::Relaxed);
-        let mask = self.slot.lock().mask();
-        let sent_at = now_us();
-        let mut packets = self.shared.take_packet_scratch();
-        packets.extend(payloads.iter().enumerate().map(|(i, p)| DataPacket {
-            flow: self.flow,
-            flow_seq: first + i as u64,
-            sent_at,
-            deadline: self.deadline,
-            link_seq: 0, // assigned per link at transmission
-            retransmission: false,
-            class: self.class,
-            mask: mask.clone(),
-            payload: Bytes::copy_from_slice(p),
-        }));
-        self.shared.disseminate_batch(&packets);
-        self.shared.put_packet_scratch(packets);
-        Ok(first)
-    }
-
-    /// The multicast graph currently stamped onto packets.
-    pub fn current_graph(&self) -> Arc<MulticastGraph> {
-        Arc::clone(&self.slot.lock().graph)
+impl Drop for FlowSender {
+    /// Frees the session's admission slot and stops its per-tick
+    /// refresh.
+    fn drop(&mut self) {
+        self.shared.senders.lock().retain(|slot| !Arc::ptr_eq(slot, &self.slot));
     }
 }
 

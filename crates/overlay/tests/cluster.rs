@@ -6,8 +6,11 @@
 //! survival, link-state convergence, and targeted-redundancy switching.
 
 use dg_core::scheme::SchemeKind;
-use dg_core::{Flow, ServiceRequirement};
+use dg_core::{Flow, MulticastKind, ServiceRequirement, SlaClass};
 use dg_overlay::cluster::{Cluster, ClusterConfig};
+use dg_overlay::metrics::{EventKind, RouteKind};
+use dg_overlay::session::{FlowReceiver, FlowSender};
+use dg_overlay::OverlayError;
 use dg_topology::{presets, Micros};
 use std::time::Duration;
 
@@ -511,10 +514,27 @@ fn global_overlay_delivers_intercontinentally() {
 fn tail_probe_repairs_a_silently_lost_stream_tail() {
     let cluster = na_cluster();
     let flow = nyc_sjc(&cluster);
+    let (group, group_rx) = cluster
+        .open_group_sender(
+            flow.source,
+            &[flow.destination],
+            1,
+            MulticastKind::Tree,
+            ServiceRequirement::default(),
+            SlaClass::Timely,
+        )
+        .unwrap();
+    probe_repairs_lost_tail(&cluster, &group, &group_rx[0].1);
     let rx = cluster.open_receiver(flow).unwrap();
     let tx = cluster
         .open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default())
         .unwrap();
+    probe_repairs_lost_tail(&cluster, &tx, &rx);
+    cluster.shutdown();
+}
+
+fn probe_repairs_lost_tail(cluster: &Cluster, tx: &FlowSender, rx: &FlowReceiver) {
+    let flow = tx.flow();
     // A probe before anything was sent is a no-op.
     assert!(!tx.tail_probe(b"nothing yet").unwrap(), "probe with no history sent something");
 
@@ -555,13 +575,92 @@ fn tail_probe_repairs_a_silently_lost_stream_tail() {
     let flow_cell = cells.flows.iter().find(|f| f.flow == flow).expect("flow has metrics");
     assert_eq!(flow_cell.packets_sent, 4, "probes do not inflate packets_sent");
     assert_eq!(tx.send(b"next").unwrap(), tail_seq + 1, "probes do not consume sequences");
+}
+
+#[test]
+fn dropped_senders_free_admission_for_every_flow_type() {
+    let graph = presets::north_america_12();
+    let config = ClusterConfig { sender_capacity: 2, ..ClusterConfig::default() };
+    let cluster = Cluster::launch(&graph, config).expect("cluster launches");
+    let flow = nyc_sjc(&cluster);
+    let lax = graph.node_by_name("LAX").unwrap();
+    let unicast =
+        || cluster.open_sender(flow, SchemeKind::StaticSinglePath, ServiceRequirement::default());
+    let group = |group_id| {
+        cluster
+            .open_group_sender(
+                flow.source,
+                &[flow.destination, lax],
+                group_id,
+                MulticastKind::Tree,
+                ServiceRequirement::default(),
+                SlaClass::Timely,
+            )
+            .map(|(tx, _)| tx)
+    };
+    let denied = |opened: Result<FlowSender, OverlayError>| {
+        matches!(opened, Err(OverlayError::AdmissionDenied { active: 2, capacity: 2 }))
+    };
+
+    // A mix of flow types fills the capacity; the next sender of either
+    // type is refused.
+    let held = (unicast().unwrap(), group(1).unwrap());
+    assert!(denied(unicast()), "a unicast sender was admitted past capacity");
+    assert!(denied(group(2)), "a group sender was admitted past capacity");
+
+    // Dropped sessions free their slots for either type.
+    drop(held);
+    let held = (group(3).unwrap(), unicast().unwrap());
+    assert!(denied(group(4)), "capacity is still enforced after reuse");
+    drop(held);
+    let _two_groups = (group(5).unwrap(), group(6).unwrap());
+    assert!(denied(unicast()), "live groups count against unicast admission");
+    cluster.shutdown();
+}
+
+#[test]
+fn impaired_group_tree_journals_a_route_change() {
+    let cluster = na_cluster();
+    assert!(cluster.wait_for_link_state(Duration::from_secs(5)));
+    let graph = cluster.graph().clone();
+    let flow = nyc_sjc(&cluster);
+    let lax = graph.node_by_name("LAX").unwrap();
+    let (tx, _sessions) = cluster
+        .open_group_sender(
+            flow.source,
+            &[flow.destination, lax],
+            3,
+            MulticastKind::Tree,
+            ServiceRequirement::default(),
+            SlaClass::Timely,
+        )
+        .unwrap();
+    let first_hop =
+        tx.current_graph().forwarding_edges(&graph, flow.source).next().expect("a first hop");
+    cluster.set_link_fault(first_hop, 0.8, Micros::ZERO);
+    let deadline = std::time::Instant::now() + Duration::from_secs(8);
+    while tx.current_graph().contains(first_hop) {
+        assert!(std::time::Instant::now() < deadline, "the tree never left the impaired edge");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let snap = cluster.node(flow.source).metrics_snapshot();
+    let rerouted = snap.events.iter().any(|e| {
+        e.kind
+            == EventKind::RouteChange {
+                flow: tx.flow(),
+                scheme: RouteKind::Multicast(MulticastKind::Tree),
+                edges: tx.current_graph().len() as u64,
+            }
+    });
+    assert!(rerouted, "group reroute not journaled: {:?}", snap.events);
+    let cell = snap.flows.iter().find(|f| f.flow == tx.flow()).expect("group has metrics");
+    assert!(cell.graph_changes >= 1);
     cluster.shutdown();
 }
 
 #[test]
 fn group_sender_reaches_every_receiver() {
-    use dg_core::{MulticastKind, SlaClass};
-
     let cluster = na_cluster();
     let g = cluster.graph();
     let src = g.node_by_name("NYC").unwrap();
@@ -617,8 +716,6 @@ fn group_sender_reaches_every_receiver() {
 
 #[test]
 fn group_and_unicast_flows_do_not_collide() {
-    use dg_core::{MulticastKind, SlaClass};
-
     let cluster = na_cluster();
     let g = cluster.graph();
     let src = g.node_by_name("NYC").unwrap();

@@ -18,6 +18,7 @@
 //! same propagation core).
 
 use crate::packet::{simulate_group_packet_with, simulate_packet_with, PacketOutcome, SimScratch};
+use crate::parallel::fan_out;
 use crate::playback::PlaybackConfig;
 use dg_core::{
     receiver_digest, CoreError, DisseminationGraph, Flow, GraphCache, MulticastGraph,
@@ -26,8 +27,7 @@ use dg_core::{
 use dg_topology::{Graph, Micros, NodeId};
 use dg_trace::TraceSet;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One unit of grouped playback work: all flows from `source` to
 /// `receivers`, routed by one `kind` multicast graph.
@@ -259,66 +259,9 @@ pub fn run_groups(
     for job in jobs {
         graphs.push(cache.multicast(job.source, &job.receivers, job.kind, job.requirement)?);
     }
-    let total = graphs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-    .min(total);
-
-    if threads == 1 {
-        // The serial reference path: one scratch, jobs in order.
-        let mut scratch = SimScratch::new();
-        return Ok(graphs
-            .iter()
-            .map(|g| run_group_with(topology, traces, g, config, &mut scratch))
-            .collect());
-    }
-
-    let results: Mutex<Vec<Option<GroupRunStats>>> = Mutex::new(vec![None; total]);
-    let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut scratch = SimScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= total {
-                        return;
-                    }
-                    let stats = run_group_with(topology, traces, &graphs[i], config, &mut scratch);
-                    results.lock().expect("results lock")[i] = Some(stats);
-                }
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    Ok(results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect())
-}
-
-/// A convenience wrapper of [`run_groups`] that builds its own cache.
-///
-/// # Errors
-///
-/// Propagates multicast-graph construction failures, in job order.
-pub fn run_groups_fresh(
-    topology: &Graph,
-    traces: &TraceSet,
-    jobs: &[GroupJob],
-    config: &PlaybackConfig,
-    threads: usize,
-) -> Result<Vec<GroupRunStats>, CoreError> {
-    let cache = GraphCache::new(topology.clone(), dg_core::scheme::SchemeParams::default());
-    run_groups(topology, traces, &cache, jobs, config, threads)
+    Ok(fan_out(graphs.len(), threads, |i, scratch| {
+        run_group_with(topology, traces, &graphs[i], config, scratch)
+    }))
 }
 
 #[cfg(test)]
@@ -432,9 +375,13 @@ mod tests {
             })
             .collect();
         let config = quick_config();
-        let serial = run_groups_fresh(&g, &traces, &jobs, &config, 1).unwrap();
+        let run_fresh = |threads| {
+            let cache = GraphCache::new(g.clone(), SchemeParams::default());
+            run_groups(&g, &traces, &cache, &jobs, &config, threads)
+        };
+        let serial = run_fresh(1).unwrap();
         for threads in [2, 4] {
-            let parallel = run_groups_fresh(&g, &traces, &jobs, &config, threads).unwrap();
+            let parallel = run_fresh(threads).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }

@@ -47,8 +47,8 @@ mod playback;
 mod rng;
 
 pub use group::{
-    group_flows, run_group_with, run_groups, run_groups_fresh, run_unicast_static_with, GroupJob,
-    GroupRunStats, ReceiverRunStats,
+    group_flows, run_group_with, run_groups, run_unicast_static_with, GroupJob, GroupRunStats,
+    ReceiverRunStats,
 };
 pub use histogram::LatencyHistogram;
 pub use metrics::{gap_coverage, FlowRunStats, SecondRecord};
@@ -57,7 +57,4 @@ pub use packet::{
     RecoveryModel, SimScratch,
 };
 pub use parallel::{run_flows, run_flows_cached, FlowJob};
-pub use playback::{
-    run_flow, run_flow_detailed, run_flow_full, run_flow_full_with, run_flow_with, PlaybackConfig,
-    PlaybackOutput,
-};
+pub use playback::{run_flow, run_flow_detailed, run_flow_full, PlaybackConfig, PlaybackOutput};

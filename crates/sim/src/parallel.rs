@@ -21,7 +21,7 @@
 
 use crate::metrics::FlowRunStats;
 use crate::packet::SimScratch;
-use crate::playback::{run_flow_with, PlaybackConfig};
+use crate::playback::{replay, PlaybackConfig};
 use dg_core::scheme::{RoutingScheme, SchemeKind};
 use dg_core::{build_scheme_cached, CoreError, Flow, GraphCache, ServiceRequirement};
 use dg_topology::Graph;
@@ -82,60 +82,58 @@ pub fn run_flows_cached(
 ) -> Result<Vec<FlowRunStats>, CoreError> {
     // Build every scheme serially so errors surface deterministically
     // and all graph construction is interned through one cache.
-    let mut built: Vec<Option<Box<dyn RoutingScheme>>> = Vec::with_capacity(jobs.len());
+    let mut built: Vec<Mutex<Box<dyn RoutingScheme>>> = Vec::with_capacity(jobs.len());
     for job in jobs {
-        built.push(Some(build_scheme_cached(job.kind, cache, job.flow, job.requirement)?));
+        built.push(Mutex::new(build_scheme_cached(job.kind, cache, job.flow, job.requirement)?));
     }
-    let total = built.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
+    Ok(fan_out(built.len(), threads, |i, scratch| {
+        let mut scheme = built[i].lock().expect("each job runs once");
+        replay(topology, traces, scheme.as_mut(), config, scratch).stats
+    }))
+}
+
+/// The one worker pool behind every multi-job playback: runs `job(i,
+/// scratch)` for each `i` in `0..total` over `threads` workers (zero =
+/// one per CPU core) pulling from an atomic job index, each worker
+/// reusing one [`SimScratch`] across its jobs, and returns the results
+/// in index order. One worker is the serial reference path.
+pub(crate) fn fan_out<T: Send>(
+    total: usize,
+    threads: usize,
+    job: impl Fn(usize, &mut SimScratch) -> T + Sync,
+) -> Vec<T> {
     let threads = match threads {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     }
     .min(total);
-
-    if threads == 1 {
-        // The serial reference path: one scratch, jobs in order.
+    if threads <= 1 {
         let mut scratch = SimScratch::new();
-        let mut out = Vec::with_capacity(total);
-        for mut scheme in built.into_iter().flatten() {
-            out.push(run_flow_with(topology, traces, scheme.as_mut(), config, &mut scratch));
-        }
-        return Ok(out);
+        return (0..total).map(|i| job(i, &mut scratch)).collect();
     }
 
-    let built = Mutex::new(built);
-    let results: Mutex<Vec<Option<FlowRunStats>>> = Mutex::new(vec![None; total]);
+    let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     crossbeam::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
-                // One scratch arena per worker, reused across its jobs.
                 let mut scratch = SimScratch::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= total {
                         return;
                     }
-                    let mut scheme =
-                        built.lock().expect("jobs lock")[i].take().expect("each job taken once");
-                    let stats =
-                        run_flow_with(topology, traces, scheme.as_mut(), config, &mut scratch);
-                    results.lock().expect("results lock")[i] = Some(stats);
+                    let out = job(i, &mut scratch);
+                    *results[i].lock().expect("result slot") = Some(out);
                 }
             });
         }
     })
     .expect("worker threads do not panic");
-
-    Ok(results
-        .into_inner()
-        .expect("results lock")
+    results
         .into_iter()
-        .map(|slot| slot.expect("every job ran"))
-        .collect())
+        .map(|slot| slot.into_inner().expect("result slot").expect("every job ran"))
+        .collect()
 }
 
 #[cfg(test)]

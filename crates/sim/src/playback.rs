@@ -67,22 +67,6 @@ pub fn run_flow(
     run_flow_full(topology, traces, scheme, config).stats
 }
 
-/// Like [`run_flow`], reusing a caller-provided scratch arena. The
-/// parallel runner ([`crate::run_flows`]) keeps one scratch per worker
-/// so consecutive jobs on a thread reuse the event heap, arrival table,
-/// and edge-index allocations; results are identical to [`run_flow`]
-/// (the scratch is re-indexed for the scheme's graph before any packet
-/// is simulated).
-pub fn run_flow_with(
-    topology: &Graph,
-    traces: &TraceSet,
-    scheme: &mut dyn RoutingScheme,
-    config: &PlaybackConfig,
-    scratch: &mut SimScratch,
-) -> FlowRunStats {
-    run_flow_full_with(topology, traces, scheme, config, scratch).stats
-}
-
 /// Replays `traces` and additionally returns one record per second
 /// (used for the case-study timeline figure).
 pub fn run_flow_detailed(
@@ -112,12 +96,16 @@ pub fn run_flow_full(
     // only when the scheme actually reroutes, and the event heap and
     // arrival table are reused across every packet.
     let mut scratch = SimScratch::new();
-    run_flow_full_with(topology, traces, scheme, config, &mut scratch)
+    replay(topology, traces, scheme, config, &mut scratch)
 }
 
-/// [`run_flow_full`] over a caller-provided scratch arena (see
-/// [`run_flow_with`]).
-pub fn run_flow_full_with(
+/// [`run_flow_full`] over a caller-provided scratch arena. The worker
+/// pool ([`crate::run_flows`]) keeps one scratch per worker so
+/// consecutive jobs on a thread reuse the event heap, arrival table,
+/// and edge-index allocations; results are identical to
+/// [`run_flow_full`] (the scratch is re-indexed for the scheme's graph
+/// before any packet is simulated).
+pub(crate) fn replay(
     topology: &Graph,
     traces: &TraceSet,
     scheme: &mut dyn RoutingScheme,

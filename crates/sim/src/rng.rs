@@ -6,14 +6,7 @@
 //! identical loss outcomes on identical (edge, packet) events, so
 //! differences between schemes reflect routing, not sampling noise.
 
-/// SplitMix64 finalizer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use dg_core::splitmix64;
 
 /// A uniform sample in `[0, 1)` determined by the event coordinates.
 pub fn unit_sample(seed: u64, edge: u32, seq: u64, attempt: u32) -> f64 {

@@ -73,12 +73,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = cluster.metrics_report();
     println!(
-        "fault totals: drops {} dup {} corrupt {} | malformed {} | queue drops {} | links down {}",
+        "fault totals: drops {} dup {} corrupt {} | malformed {} | queue drops {} shipper / {} delivery | links down {}",
         report.totals.fault_drops,
         report.totals.fault_duplicates,
         report.totals.fault_corruptions,
         report.totals.malformed,
-        report.totals.queue_drops,
+        report.totals.shipper_drops,
+        report.totals.delivery_drops,
         report.totals.links_declared_down,
     );
     println!(
